@@ -24,8 +24,10 @@ test-serial:
 # executor (including TestRunAllStress and the short equivalence tests)
 # under -race. It also arms the packet pool's mutate-after-release poison
 # guard (build tag `race`). Long macro sweeps are excluded by testing.Short.
+# GOMAXPROCS=4 makes the LP engine's workers run in parallel even on a
+# smaller host, so a cross-LP data race is observable by the detector.
 race:
-	$(GO) test -race -short ./...
+	GOMAXPROCS=4 $(GO) test -race -short ./...
 
 verify: test test-serial race
 

@@ -12,6 +12,7 @@ package eport
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dsh/internal/packet"
 	"dsh/internal/sim"
@@ -167,9 +168,16 @@ type Port struct {
 	// delivered (the stale-delivery guard the fault layer relies on).
 	epoch int64
 
-	// wireDrops counts packets lost to a down link: serialized into a dead
-	// link, invalidated mid-flight by a flap, or arriving while down.
-	wireDrops int64
+	// wireDrops counts packets serialized into a dead link; only txDone (on
+	// this port's LP) writes it. arriveDrops counts packets invalidated
+	// mid-flight by a flap or arriving while down; only deliver writes it,
+	// and on a cross-LP wire deliver runs on the receiving LP. Splitting the
+	// counter by writer keeps each single-goroutine; WireDrops sums them
+	// after the run. deliver also reads up and epoch cross-LP: fault ops
+	// change them only on the coordinator at epoch barriers, when every LP
+	// is quiescent.
+	wireDrops   int64
+	arriveDrops int64
 
 	// extra is a one-way propagation-delay skew added on top of cfg.Prop
 	// (fault injection: asymmetric latency). lastDeliverAt clamps delivery
@@ -181,6 +189,12 @@ type Port struct {
 	ctrl classQueue
 	cls  []classState
 	rr   int
+
+	// ready has bit c set iff data class c is backlogged, not paused at
+	// class level, and not the strict class: exactly the classes the DWRR
+	// loop may visit when the port is not paused. pick jumps between its
+	// set bits instead of scanning every class.
+	ready uint8
 
 	pausedPort bool
 
@@ -225,8 +239,8 @@ type Port struct {
 	// heap event instead of one per packet in flight.
 	ch sim.Channel
 
-	// clsBuf backs cls for the standard class counts, so building a port
-	// allocates nothing beyond the Port itself.
+	// clsBuf backs cls, so building a port allocates nothing beyond the
+	// Port itself.
 	clsBuf [packet.NumClasses]classState
 }
 
@@ -276,7 +290,7 @@ func New(cfg Config) *Port {
 // ports use it to slab- or field-allocate them instead of paying one heap
 // object per port.
 func NewInto(p *Port, cfg Config) {
-	if cfg.Sim == nil || cfg.Rate <= 0 || cfg.Classes <= 0 {
+	if cfg.Sim == nil || cfg.Rate <= 0 || cfg.Classes <= 0 || cfg.Classes > packet.NumClasses {
 		panic(fmt.Sprintf("eport: invalid config %+v", cfg))
 	}
 	if cfg.Quantum <= 0 {
@@ -285,11 +299,7 @@ func NewInto(p *Port, cfg Config) {
 	p.cfg = cfg
 	p.up = true
 	p.portPauseStart = -1
-	if cfg.Classes <= len(p.clsBuf) {
-		p.cls = p.clsBuf[:cfg.Classes]
-	} else {
-		p.cls = make([]classState, cfg.Classes)
-	}
+	p.cls = p.clsBuf[:cfg.Classes]
 	p.txDoneAct = txDoneAction{p: p}
 	p.deliverAct = deliverAction{p: p}
 	p.expiryAct = expiryAction{p: p}
@@ -347,7 +357,7 @@ func (p *Port) Up() bool { return p.up }
 
 // WireDrops counts packets this port lost to a down link: serialized while
 // down, invalidated mid-flight by a flap, or arriving while down.
-func (p *Port) WireDrops() int64 { return p.wireDrops }
+func (p *Port) WireDrops() int64 { return p.wireDrops + p.arriveDrops }
 
 // SetExtraDelay adds a one-way propagation-delay skew on top of the
 // configured Prop (fault injection). Deliveries already in flight keep
@@ -392,6 +402,7 @@ func (p *Port) Enqueue(pkt *packet.Packet, cookie int64) {
 		panic(fmt.Sprintf("eport: class %d out of range", cls))
 	}
 	p.cls[cls].q.push(entry{pkt: pkt, cookie: cookie})
+	p.markReady(cls)
 	p.trySend()
 }
 
@@ -440,9 +451,13 @@ func (p *Port) SetClassPaused(cls packet.Class, paused bool) {
 	}
 	c.paused = paused
 	if paused {
+		p.ready &^= 1 << cls
 		p.pauseFrames++
 		c.pauseStart = now
 	} else {
+		if c.q.len() > 0 {
+			p.markReady(int(cls))
+		}
 		c.pausedFor += now - c.pauseStart
 		p.trySend()
 	}
@@ -502,16 +517,26 @@ func (p *Port) PortPausedTime() units.Time {
 // PauseFrames returns how many PAUSE transitions this port has received.
 func (p *Port) PauseFrames() int64 { return p.pauseFrames }
 
+// The ready mask holds one bit per class: this constant overflows (a
+// compile error) if packet.NumClasses outgrows it.
+const _ uint8 = 1 << (packet.NumClasses - 1)
+
+// markReady sets a backlogged class's ready bit unless it is paused or the
+// strict class.
+func (p *Port) markReady(cls int) {
+	if !p.cls[cls].paused && cls != p.cfg.StrictClass {
+		p.ready |= 1 << cls
+	}
+}
+
 // advance moves the DWRR pointer to the next class, ending the current
 // class's visit (its next visit grants a fresh quantum).
 func (p *Port) advance() {
 	p.cls[p.rr].granted = false
-	p.rr = (p.rr + 1) % p.cfg.Classes
-}
-
-// eligible reports whether a data class may transmit now.
-func (p *Port) eligible(cls int) bool {
-	return !p.pausedPort && !p.cls[cls].paused && p.cls[cls].q.len() > 0
+	p.rr++
+	if p.rr == p.cfg.Classes {
+		p.rr = 0
+	}
 }
 
 // pick selects the next packet: control, then strict class, then DWRR.
@@ -519,45 +544,52 @@ func (p *Port) pick() (entry, bool) {
 	if p.ctrl.len() > 0 {
 		return p.ctrl.pop(), true
 	}
-	if s := p.cfg.StrictClass; s >= 0 && p.eligible(s) {
+	if s := p.cfg.StrictClass; s >= 0 && !p.pausedPort && !p.cls[s].paused && p.cls[s].q.len() > 0 {
 		return p.cls[s].q.pop(), true
 	}
 	// Deficit round robin: each arrival of the round-robin pointer at a
-	// backlogged class grants one quantum; the class is served while its
-	// deficit covers the head packet, then the pointer moves on. Multiple
-	// sweeps let deficits accumulate for packets larger than the quantum.
-	n := p.cfg.Classes
-	for sweep := 0; sweep < 4096; sweep++ {
-		any := false
-		for i := 0; i < n; i++ {
-			c := &p.cls[p.rr]
-			if p.rr == p.cfg.StrictClass || !p.eligible(p.rr) {
-				if c.q.len() == 0 {
-					c.deficit = 0
-				}
+	// ready class grants one quantum; the class is served while its deficit
+	// covers the head packet, then the pointer moves on. Repeated visits let
+	// deficits accumulate for packets larger than the quantum.
+	//
+	// The pointer jumps straight to the next ready class, which is exactly
+	// where a class-by-class scan would stop: a skipped class is empty (and
+	// an empty class always has zero deficit) or paused (and keeps its
+	// deficit). Only cls[rr] can hold a granted quantum, so leaving rr, or
+	// finding nothing to send, ends its visit.
+	if p.pausedPort || p.ready == 0 {
+		p.cls[p.rr].granted = false
+		return entry{}, false
+	}
+	// Every visit grants a quantum; the bound allows each ready class 4096
+	// visits, as the scan allowed 4096 sweeps over all classes.
+	for visits := 4096 * bits.OnesCount8(p.ready); visits > 0; visits-- {
+		next := p.rr
+		if m := p.ready >> p.rr; m != 0 {
+			next += bits.TrailingZeros8(m)
+		} else {
+			next = bits.TrailingZeros8(p.ready)
+		}
+		if next != p.rr {
+			p.cls[p.rr].granted = false
+			p.rr = next
+		}
+		c := &p.cls[next]
+		if !c.granted {
+			c.deficit += p.cfg.Quantum
+			c.granted = true
+		}
+		if c.deficit >= c.q.peek().pkt.Size {
+			e := c.q.pop()
+			c.deficit -= e.pkt.Size
+			if c.q.len() == 0 {
+				c.deficit = 0
+				p.ready &^= 1 << next
 				p.advance()
-				continue
 			}
-			any = true
-			if !c.granted {
-				c.deficit += p.cfg.Quantum
-				c.granted = true
-			}
-			head := c.q.peek()
-			if c.deficit >= head.pkt.Size {
-				e := c.q.pop()
-				c.deficit -= e.pkt.Size
-				if c.q.len() == 0 {
-					c.deficit = 0
-					p.advance()
-				}
-				return e, true
-			}
-			p.advance()
+			return e, true
 		}
-		if !any {
-			return entry{}, false
-		}
+		p.advance()
 	}
 	panic("eport: DWRR made no progress in 4096 sweeps (packet vastly larger than quantum?)")
 }
@@ -646,7 +678,7 @@ func (p *Port) deliver(pkt *packet.Packet, epoch int64) {
 	if p.up && epoch == p.epoch {
 		p.peer.Receive(pkt)
 	} else {
-		p.wireDrops++
+		p.arriveDrops++
 		pkt.Release()
 	}
 }

@@ -352,6 +352,15 @@ func TestEnqueueBadClassPanics(t *testing.T) {
 	p.Enqueue(data(8, 100), 0)
 }
 
+func TestNewRejectsTooManyClasses(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Classes > packet.NumClasses did not panic")
+		}
+	}()
+	New(Config{Sim: sim.New(), Rate: 100 * units.Gbps, Classes: packet.NumClasses + 1})
+}
+
 func TestTransmitWithoutConnectPanics(t *testing.T) {
 	s := sim.New()
 	p := New(Config{Sim: s, Rate: units.Gbps, Classes: 8})
