@@ -58,14 +58,14 @@ bench-smoke:
 # high-water), so this target fails on an allocation, event-count, or
 # heap-growth regression.
 bench-json:
-	$(GO) run ./cmd/dshbench -bench-json BENCH_PR10.json
+	$(GO) run ./cmd/dshbench -bench-json BENCH_PR13.json
 
 # Compare two perf reports kernel by kernel; fails when any kernel's ns/op
 # regressed beyond BENCH_TOL. Defaults compare the previous PR's committed
 # report against the current one. Add `-strict` via BENCH_FLAGS to also
 # enforce the new report's alloc/event/heap budgets.
-BENCH_OLD ?= BENCH_PR9.json
-BENCH_NEW ?= BENCH_PR10.json
+BENCH_OLD ?= BENCH_PR10.json
+BENCH_NEW ?= BENCH_PR13.json
 BENCH_TOL ?= 0.3
 BENCH_FLAGS ?=
 bench-diff:

@@ -323,13 +323,6 @@ func runBenchDiff(oldPath, newPath string, tol float64, strict bool) (bool, erro
 			fmt.Printf("strict: kernel %s is in the baseline but missing from the candidate report — its budgets are no longer enforced\n", name)
 			ok = false
 		}
-		// Encode sizes are deterministic, so any growth against the baseline
-		// is a real format regression — no tolerance, same severity as a
-		// budget violation.
-		for _, l := range benchkit.EncodedGrowth(lines) {
-			fmt.Printf("strict: kernel %s encoded output grew from %.0f to %.0f bytes\n", l.Name, l.OldEncoded, l.NewEncoded)
-			ok = false
-		}
 		// A single-core runner cannot measure parallel speedup, so the
 		// ≥1.8x lp_speedup floor is not attached there. Passing silently
 		// would look like the floor held; say out loud that it never ran.
@@ -388,8 +381,7 @@ usage: dshbench [-full] [-seed N] [-workers N] [-lp-workers N] [-quiet]
        dshbench -bench-diff [-bench-tolerance T] [-strict] <old.json> <new.json>
                                      compare two reports, exit 1 on ns/op
                                      regression (-strict also enforces the
-                                     new report's alloc/event/heap/encode
-                                     budgets)
+                                     new report's alloc/event/heap budgets)
        dshbench -trace F [-seed N] capture <scenario>
                                      record a packed .dshtrace of a named
                                      scenario (fig11point, forwarding, incast)

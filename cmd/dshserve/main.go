@@ -10,9 +10,7 @@
 //
 //	POST /jobs            submit a spec {"family":"fig11","seed":1,...}
 //	GET  /jobs/{key}      job status + sweep progress
-//	GET  /results/{key}   canonical result JSON (?format=wire streams the
-//	                      packed .dshz twin; wire.DecodeResult restores the
-//	                      JSON byte for byte)
+//	GET  /results/{key}   canonical result JSON
 //	GET  /healthz         liveness + drain flag
 //	GET  /metrics         Prometheus text (queue depth, cache hits, ...)
 //	GET  /families        registered experiment families

@@ -5,15 +5,13 @@ import "testing"
 // `go test -bench` entry points for the kernel suite; the same functions
 // back the programmatic JSON collection (see report.go).
 
-func BenchmarkEventEngine(b *testing.B)      { EventEngine(b) }
-func BenchmarkForwarding(b *testing.B)       { Forwarding(b) }
-func BenchmarkForwardingTrace(b *testing.B)  { ForwardingTrace(b) }
-func BenchmarkResultEncodeJSON(b *testing.B) { ResultEncodeJSON(b) }
-func BenchmarkResultEncodeWire(b *testing.B) { ResultEncodeWire(b) }
-func BenchmarkIncast(b *testing.B)           { Incast(b) }
-func BenchmarkFig11(b *testing.B)            { Fig11(b) }
-func BenchmarkFig11Point(b *testing.B)       { Fig11Point(b) }
-func BenchmarkFig11PointLP4(b *testing.B)    { Fig11PointLP4(b) }
+func BenchmarkEventEngine(b *testing.B)     { EventEngine(b) }
+func BenchmarkForwarding(b *testing.B)      { Forwarding(b) }
+func BenchmarkForwardingTrace(b *testing.B) { ForwardingTrace(b) }
+func BenchmarkIncast(b *testing.B)          { Incast(b) }
+func BenchmarkFig11(b *testing.B)           { Fig11(b) }
+func BenchmarkFig11Point(b *testing.B)      { Fig11Point(b) }
+func BenchmarkFig11PointLP4(b *testing.B)   { Fig11PointLP4(b) }
 
 func BenchmarkScalePointFlow(b *testing.B) { ScalePointFlow(b) }
 

@@ -19,14 +19,6 @@ type DiffLine struct {
 	// missing from the *new* report (a silently dropped gate) fails
 	// bench-diff -strict via MissingFromNew.
 	MissingIn string
-	// OldEncoded/NewEncoded are the encode kernels' output sizes in bytes
-	// (zero for kernels without the metric). EncodedGrew flags any growth:
-	// encode sizes are deterministic for a fixed kernel, so unlike ns/op
-	// there is no noise tolerance — strict mode fails on growth exactly
-	// like an alloc regression.
-	OldEncoded  float64
-	NewEncoded  float64
-	EncodedGrew bool
 }
 
 // Diff compares two reports kernel by kernel. A kernel regresses when its
@@ -50,14 +42,11 @@ func Diff(oldR, newR Report, tol float64) []DiffLine {
 		}
 		delta := (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp
 		lines = append(lines, DiffLine{
-			Name:        nb.Name,
-			OldNs:       ob.NsPerOp,
-			NewNs:       nb.NsPerOp,
-			Delta:       delta,
-			Regression:  delta > tol,
-			OldEncoded:  ob.EncodedBytes,
-			NewEncoded:  nb.EncodedBytes,
-			EncodedGrew: ob.EncodedBytes > 0 && nb.EncodedBytes > ob.EncodedBytes,
+			Name:       nb.Name,
+			OldNs:      ob.NsPerOp,
+			NewNs:      nb.NsPerOp,
+			Delta:      delta,
+			Regression: delta > tol,
 		})
 	}
 	for _, ob := range oldR.Benchmarks {
@@ -82,18 +71,6 @@ func MissingFromNew(lines []DiffLine) []string {
 	return names
 }
 
-// EncodedGrowth filters a diff down to the kernels whose encoded output
-// grew versus the baseline.
-func EncodedGrowth(lines []DiffLine) []DiffLine {
-	var out []DiffLine
-	for _, l := range lines {
-		if l.EncodedGrew {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Regressions filters a diff down to the failing lines.
 func Regressions(lines []DiffLine) []DiffLine {
 	var out []DiffLine
@@ -109,14 +86,14 @@ func Regressions(lines []DiffLine) []DiffLine {
 func FormatDiff(oldR, newR Report, lines []DiffLine, tol float64) string {
 	var sb strings.Builder
 	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "kernel\told ns/op\tnew ns/op\tdelta\tevents/op\theap_max\tenc bytes\n")
+	fmt.Fprintf(w, "kernel\told ns/op\tnew ns/op\tdelta\tevents/op\theap_max\n")
 	newBy := make(map[string]BenchResult, len(newR.Benchmarks))
 	for _, b := range newR.Benchmarks {
 		newBy[b.Name] = b
 	}
 	for _, l := range lines {
 		if l.MissingIn != "" {
-			fmt.Fprintf(w, "%s\t-\t-\t(only in %s report)\t\t\t\n", l.Name, map[string]string{"old": "new", "new": "old"}[l.MissingIn])
+			fmt.Fprintf(w, "%s\t-\t-\t(only in %s report)\t\t\n", l.Name, map[string]string{"old": "new", "new": "old"}[l.MissingIn])
 			continue
 		}
 		mark := ""
@@ -124,15 +101,8 @@ func FormatDiff(oldR, newR Report, lines []DiffLine, tol float64) string {
 			mark = "  REGRESSION"
 		}
 		nb := newBy[l.Name]
-		enc := ""
-		if l.NewEncoded > 0 {
-			enc = fmt.Sprintf("%.0f", l.NewEncoded)
-			if l.EncodedGrew {
-				enc += fmt.Sprintf("  GREW from %.0f", l.OldEncoded)
-			}
-		}
-		fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%+.1f%%%s\t%.1f\t%.0f\t%s\n",
-			l.Name, l.OldNs, l.NewNs, 100*l.Delta, mark, nb.EventsProcessed, nb.HeapMax, enc)
+		fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%+.1f%%%s\t%.1f\t%.0f\n",
+			l.Name, l.OldNs, l.NewNs, 100*l.Delta, mark, nb.EventsProcessed, nb.HeapMax)
 	}
 	w.Flush()
 	if n := len(Regressions(lines)); n > 0 {

@@ -17,13 +17,15 @@ import (
 // pairwise-lookahead engine plus the fat-tree kernel pair; v5 added
 // fidelity, fidelity_speedup, fct_p50/p99, and fct_err_p50/p99 for the
 // flow-level fast-forwarding kernel pair; v6 added encoded_bytes,
-// wire_speedup, and wire_bytes_ratio for the JSON/wire result-encode pair.
-const SchemaVersion = "dsh-bench/v6"
+// wire_speedup, and wire_bytes_ratio for the JSON/wire result-encode pair;
+// v7 removed those three fields with the pair.
+const SchemaVersion = "dsh-bench/v7"
 
-// schemaV5 … schemaV1 are previous layouts, still accepted by ReadReport so
+// schemaV6 … schemaV1 are previous layouts, still accepted by ReadReport so
 // bench-diff can compare against older baselines (absent fields read back
-// as zero).
+// as zero; fields since removed are ignored).
 const (
+	schemaV6 = "dsh-bench/v6"
 	schemaV5 = "dsh-bench/v5"
 	schemaV4 = "dsh-bench/v4"
 	schemaV3 = "dsh-bench/v3"
@@ -97,19 +99,6 @@ type BenchResult struct {
 	FctErrP99       *float64 `json:"fct_err_p99,omitempty"`
 	FctErrP50Budget *float64 `json:"fct_err_p50_budget,omitempty"`
 	FctErrP99Budget *float64 `json:"fct_err_p99_budget,omitempty"`
-	// EncodedBytes (v6) is the output size of one encode of the kernel's
-	// document (the "encoded_bytes" metric; zero for non-encode kernels).
-	// WireSpeedup, set on the wire kernel of the JSON/wire encode pair, is
-	// JSON ns/op divided by wire ns/op; WireBytesRatio is wire bytes over
-	// JSON bytes. Both kernels are serial, so — like fidelity_speedup and
-	// unlike lp_speedup — the ≥5× speedup floor and the ≤0.5 size ceiling
-	// are enforced on any host, and bench-diff -strict re-validates them
-	// so an encode-size regression fails exactly like an alloc regression.
-	EncodedBytes         float64  `json:"encoded_bytes,omitempty"`
-	WireSpeedup          *float64 `json:"wire_speedup,omitempty"`
-	WireSpeedupBudget    *float64 `json:"wire_speedup_budget,omitempty"`
-	WireBytesRatio       *float64 `json:"wire_bytes_ratio,omitempty"`
-	WireBytesRatioBudget *float64 `json:"wire_bytes_ratio_budget,omitempty"`
 }
 
 // allocBudgets are the checked-in allocs/op ceilings enforced by Validate.
@@ -124,16 +113,10 @@ var allocBudgets = map[string]float64{
 	// The capture-enabled twin must match: packing a departure into the
 	// trace writer's scratch buffer allocates nothing (the tentpole gate).
 	"ForwardingTrace": 0,
-	// The packed encoder reuses its caller's buffer; the JSON reference
-	// kernel measures 2 allocs/op (encoder-state pooling and buffer growth
-	// amortize the rest) — the ceiling leaves 4× slack for pool variance
-	// across iteration counts.
-	"ResultEncodeWire": 0,
-	"ResultEncodeJSON": 8,
-	"Incast":           199,  // PR 2 baseline 1989; ≥10× cut enforced
-	"Fig11":            6471, // PR 2 baseline 64712; ≥10× cut enforced
-	"Fig11Point":       290,  // measured 260 (PR 5): one full-scale point
-	"Fig11PointLP4":    1700, // measured 1498 (PR 5): 33 LP sims + mailbox storage
+	"Incast":          199,  // PR 2 baseline 1989; ≥10× cut enforced
+	"Fig11":           6471, // PR 2 baseline 64712; ≥10× cut enforced
+	"Fig11Point":      290,  // measured 260 (PR 5): one full-scale point
+	"Fig11PointLP4":   1700, // measured 1498 (PR 5): 33 LP sims + mailbox storage
 	// The fat-tree pair builds a 1024-host fabric and ~16k flows per op, so
 	// the ceilings are per-op construction costs, not steady-state leaks.
 	"FatTreePoint":    72_000,  // measured 65,331 (PR 8)
@@ -229,20 +212,6 @@ var fidelityPairs = [][2]string{
 
 var fidelitySpeedupFloor = 50.0
 
-// wirePairs lists the JSON/wire result-encode kernel pairs (JSON first)
-// that deriveWire annotates. Both floors are the PR 10 acceptance targets
-// for the binary wire format, and — both kernels being serial — are
-// enforced on any host: the packed encoder must run ≥5× faster than
-// json.MarshalIndent and emit at most half the bytes.
-var wirePairs = [][2]string{
-	{"ResultEncodeJSON", "ResultEncodeWire"},
-}
-
-var (
-	wireSpeedupFloor     = 5.0
-	wireBytesRatioBudget = 0.5
-)
-
 // fctErrP50Budget / fctErrP99Budget bound the flow kernel's FCT-percentile
 // error magnitude against its packet twin — the documented flow-fidelity
 // accuracy budgets (DESIGN.md §13). The fluid model is a lower-bound-ish
@@ -267,8 +236,6 @@ func defaultKernels() []kernel {
 		{"EventEngine", EventEngine},
 		{"Forwarding", Forwarding},
 		{"ForwardingTrace", ForwardingTrace},
-		{"ResultEncodeJSON", ResultEncodeJSON},
-		{"ResultEncodeWire", ResultEncodeWire},
 		{"Incast", Incast},
 		{"Fig11Point", Fig11Point},
 		{"Fig11PointLP4", Fig11PointLP4},
@@ -306,7 +273,6 @@ func collect(kernels []kernel) Report {
 			LPBalance:       r.Extra["lp_balance"],
 			FctP50:          r.Extra["fct_p50"],
 			FctP99:          r.Extra["fct_p99"],
-			EncodedBytes:    r.Extra["encoded_bytes"],
 		}
 		if budget, ok := allocBudgets[k.name]; ok {
 			br.AllocBudget = &budget
@@ -321,7 +287,6 @@ func collect(kernels []kernel) Report {
 	}
 	deriveSpeedup(&rep)
 	deriveFidelity(&rep)
-	deriveWire(&rep)
 	return rep
 }
 
@@ -378,32 +343,6 @@ func deriveFidelity(rep *Report) {
 			b50, b99 := fctErrP50Budget, fctErrP99Budget
 			flow.FctErrP50, flow.FctErrP99 = &e50, &e99
 			flow.FctErrP50Budget, flow.FctErrP99Budget = &b50, &b99
-		}
-	}
-}
-
-// deriveWire annotates the wire kernel of each JSON/wire encode pair with
-// wire_speedup (JSON ns/op ÷ wire ns/op), wire_bytes_ratio (wire bytes ÷
-// JSON bytes), and their always-enforced budgets.
-func deriveWire(rep *Report) {
-	byName := make(map[string]*BenchResult, len(rep.Benchmarks))
-	for i := range rep.Benchmarks {
-		byName[rep.Benchmarks[i].Name] = &rep.Benchmarks[i]
-	}
-	for _, pair := range wirePairs {
-		jsonK, wireK := byName[pair[0]], byName[pair[1]]
-		if jsonK == nil || wireK == nil || jsonK.NsPerOp <= 0 || wireK.NsPerOp <= 0 {
-			continue
-		}
-		sp := jsonK.NsPerOp / wireK.NsPerOp
-		wireK.WireSpeedup = &sp
-		floor := wireSpeedupFloor
-		wireK.WireSpeedupBudget = &floor
-		if jsonK.EncodedBytes > 0 && wireK.EncodedBytes > 0 {
-			ratio := wireK.EncodedBytes / jsonK.EncodedBytes
-			wireK.WireBytesRatio = &ratio
-			budget := wireBytesRatioBudget
-			wireK.WireBytesRatioBudget = &budget
 		}
 	}
 }
@@ -504,27 +443,6 @@ func (r Report) Validate() error {
 					b.Name, *b.FctErrP50, *b.FctErrP50Budget)
 			}
 		}
-		if b.EncodedBytes < 0 {
-			return fmt.Errorf("benchmark %s: negative encoded_bytes", b.Name)
-		}
-		if b.WireSpeedupBudget != nil {
-			if b.WireSpeedup == nil {
-				return fmt.Errorf("benchmark %s: wire_speedup_budget set without wire_speedup", b.Name)
-			}
-			if *b.WireSpeedup < *b.WireSpeedupBudget {
-				return fmt.Errorf("benchmark %s: wire_speedup %.1f below the %.0fx floor — the packed encoder stopped beating json.MarshalIndent (an allocation or copy crept into AppendRunSeries?)",
-					b.Name, *b.WireSpeedup, *b.WireSpeedupBudget)
-			}
-		}
-		if b.WireBytesRatioBudget != nil {
-			if b.WireBytesRatio == nil {
-				return fmt.Errorf("benchmark %s: wire_bytes_ratio_budget set without wire_bytes_ratio", b.Name)
-			}
-			if *b.WireBytesRatio > *b.WireBytesRatioBudget {
-				return fmt.Errorf("benchmark %s: wire_bytes_ratio %.3f exceeds the %.2f ceiling — the packed encoding grew past half the JSON size (fixed-width fields where uvarints belong?)",
-					b.Name, *b.WireBytesRatio, *b.WireBytesRatioBudget)
-			}
-		}
 		if b.FctErrP99Budget != nil {
 			if b.FctErrP99 == nil {
 				return fmt.Errorf("benchmark %s: fct_err_p99_budget set without fct_err_p99", b.Name)
@@ -549,7 +467,7 @@ func (r Report) WriteJSON(w io.Writer) error {
 }
 
 // ReadReport decodes a report for comparison. It accepts the current schema
-// plus v5 through v1 (whose newer fields read back as zero), so bench-diff
+// plus v6 through v1 (whose newer fields read back as zero), so bench-diff
 // can baseline against reports emitted before the counters, the LP kernels,
 // or the fidelity kernels existed.
 func ReadReport(rd io.Reader) (Report, error) {
@@ -558,7 +476,7 @@ func ReadReport(rd io.Reader) (Report, error) {
 		return Report{}, fmt.Errorf("benchkit: parsing report: %w", err)
 	}
 	switch r.Schema {
-	case SchemaVersion, schemaV5, schemaV4, schemaV3, schemaV2, schemaV1:
+	case SchemaVersion, schemaV6, schemaV5, schemaV4, schemaV3, schemaV2, schemaV1:
 	default:
 		return Report{}, fmt.Errorf("benchkit: unsupported schema %q", r.Schema)
 	}

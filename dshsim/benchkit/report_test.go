@@ -208,11 +208,14 @@ func TestUngatedNotes(t *testing.T) {
 }
 
 // TestReadReportAcceptsOldSchemas keeps bench-diff working against the
-// committed pre-v5 baselines (BENCH_PR5.json is v3, BENCH_PR8.json is v4).
+// committed older baselines (BENCH_PR5.json is v3, BENCH_PR8.json is v4,
+// BENCH_PR10.json is v6). The v6 result-encode fields were removed in v7;
+// a baseline that still carries them must read, not fail.
 func TestReadReportAcceptsOldSchemas(t *testing.T) {
-	for _, schema := range []string{"dsh-bench/v3", "dsh-bench/v4"} {
+	for _, schema := range []string{"dsh-bench/v3", "dsh-bench/v4", "dsh-bench/v6"} {
 		doc := `{"schema":"` + schema + `","go_version":"go","goos":"linux","goarch":"amd64",` +
-			`"num_cpu":1,"benchmarks":[{"name":"Fast","iterations":1,"ns_per_op":1}]}`
+			`"num_cpu":1,"benchmarks":[{"name":"Fast","iterations":1,"ns_per_op":1,` +
+			`"encoded_bytes":10,"wire_speedup":6,"wire_bytes_ratio":0.4}]}`
 		r, err := ReadReport(strings.NewReader(doc))
 		if err != nil {
 			t.Fatalf("ReadReport rejected a %s baseline: %v", schema, err)

@@ -201,47 +201,6 @@ func LoadPointAt(opt ExpOptions, tr TransportKind, dist *SizeDist, bgLoad float6
 	return runLoadPoint(opt, tr, dist, bgLoad, 0.9, topo, deriveSeed(opt.Seed, "loadpoint", 0, 0))
 }
 
-// LoadPointAt2 is LoadPointAt with an explicit total load (total − bg goes
-// to incast; equal loads mean no incast at all).
-func LoadPointAt2(opt ExpOptions, tr TransportKind, dist *SizeDist, bgLoad, totalLoad float64, topo string) LoadPoint {
-	return runLoadPoint(opt, tr, dist, bgLoad, totalLoad, topo, deriveSeed(opt.Seed, "loadpoint", 0, 0))
-}
-
-// LoadPointScaled runs one Fig. 14-style point on an explicitly sized
-// leaf–spine fabric (for scale-sensitivity studies).
-func LoadPointScaled(opt ExpOptions, tr TransportKind, dist *SizeDist, bgLoad float64,
-	leaves, spines, hostsPerLeaf int) LoadPoint {
-	pt := LoadPoint{BgLoad: bgLoad}
-	fcts := map[Scheme]map[int]units.Time{}
-	tags := map[int]string{}
-	const rate = 100 * units.Gbps
-	duration := 3 * units.Millisecond
-	seed := deriveSeed(opt.Seed, "loadpoint-scaled", leaves*1000+spines, hostsPerLeaf)
-	for _, scheme := range []Scheme{SIH, DSH} {
-		nc := NetworkConfig{Scheme: scheme, Transport: tr, Seed: seed, LPWorkers: opt.LPWorkers}
-		nc.bufferHook = paperPressureBuffers
-		ls := NewLeafSpine(nc, leaves, spines, hostsPerLeaf, rate, rate)
-		rng := rand.New(rand.NewSource(seed))
-		specs := mixedSpecs(rng, ls.LeafHosts, dist, bgLoad, 0.9, rate, duration, 16)
-		res := Run(ls.Network, RunConfig{Specs: specs, Duration: duration, Drain: true, DrainCap: 10 * duration})
-		byID := make(map[int]units.Time)
-		for _, tag := range []string{"background", "fanin"} {
-			for _, r := range res.FCT.Records(tag) {
-				byID[r.ID] = r.FCT
-				tags[r.ID] = tag
-			}
-		}
-		fcts[scheme] = byID
-		if scheme == SIH {
-			pt.SIHUnfinished = res.Unfinished
-		} else {
-			pt.DSHUnfinished = res.Unfinished
-		}
-	}
-	fillPaired(&pt, fcts, tags)
-	return pt
-}
-
 // FatTreePoint runs one paper-scale fat-tree load point — the k=16 fabric
 // of the -full sweeps, 1024 hosts — at a bench-sized duration, and returns
 // the completed-flow count. Exported for the benchkit pairwise-lookahead

@@ -80,12 +80,6 @@ func TraceScenarios() []string {
 	return names
 }
 
-// TraceScenarioAbout returns the one-line description of a scenario, or ""
-// if the name is unknown.
-func TraceScenarioAbout(name string) string {
-	return traceScenarios[name].about
-}
-
 // CaptureTrace runs the named scenario with the given seed and streams
 // every packet departure to w as a .dshtrace file. It returns the number of
 // frames captured. If w is an io.WriteSeeker (a file), the header's frame

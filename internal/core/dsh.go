@@ -69,9 +69,6 @@ func (d *DSH) HeadroomCap(port int) units.ByteSize { return d.cfg.eta(port) }
 // PortPaused implements MMU.
 func (d *DSH) PortPaused(port int) bool { return d.poff[port] }
 
-// PortShared returns the port's total shared occupancy w^i(t).
-func (d *DSH) PortShared(port int) units.ByteSize { return d.portShared[port] }
-
 // QueueLen implements MMU, including insurance bytes charged to the queue.
 func (d *DSH) QueueLen(port int, class packet.Class) units.ByteSize {
 	i := d.idx(port, class)

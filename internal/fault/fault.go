@@ -15,6 +15,7 @@ package fault
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -101,13 +102,17 @@ type Scenario struct {
 }
 
 // Parse decodes a scenario from JSON, rejecting unknown fields so format
-// drift is caught loudly (the CI golden test relies on this).
+// drift is caught loudly (the CI golden test relies on this), and anything
+// but whitespace after the scenario object.
 func Parse(r io.Reader) (Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sc Scenario
 	if err := dec.Decode(&sc); err != nil {
 		return Scenario{}, fmt.Errorf("fault: parse scenario: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return Scenario{}, errors.New("fault: parse scenario: trailing data after the scenario object")
 	}
 	return sc, nil
 }

@@ -10,13 +10,13 @@ import (
 	"dsh/units"
 )
 
-func testNet(t *testing.T) *topology.Network {
+func testNet(t testing.TB) *topology.Network {
 	t.Helper()
 	return topology.SingleSwitch(topology.Config{}, 8, 100*units.Gbps)
 }
 
 // twoTier gives rewire validation a switch-facing port to target.
-func twoTier(t *testing.T) *topology.LeafSpineTopo {
+func twoTier(t testing.TB) *topology.LeafSpineTopo {
 	t.Helper()
 	return topology.LeafSpine(topology.Config{}, 2, 2, 4, 100*units.Gbps, 100*units.Gbps)
 }
@@ -54,10 +54,24 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnknownFields also pins that a valid scenario followed
+// by more input is rejected, never silently truncated to its first value.
 func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse(bytes.NewReader([]byte(`{"name":"x","events":[{"kind":"link-flap","node":0,"bogus":1}]}`)))
 	if err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	for _, doc := range []string{
+		`{"name":"x","events":[]} {"name":"y","events":[]}`,
+		`{"name":"x","events":[]} garbage`,
+		`{"name":"x","events":[]}]`,
+	} {
+		if sc, err := Parse(bytes.NewReader([]byte(doc))); err == nil {
+			t.Errorf("Parse(%q) = %+v, want a trailing-data error", doc, sc)
+		}
+	}
+	if _, err := Parse(bytes.NewReader([]byte("{\"name\":\"x\",\"events\":[]}\n"))); err != nil {
+		t.Errorf("trailing newline rejected: %v", err)
 	}
 }
 

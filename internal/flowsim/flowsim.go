@@ -175,13 +175,13 @@ type flowState struct {
 }
 
 type linkState struct {
-	capBps  float64 // bytes per picosecond
-	alloc   float64 // sum of active flow rates
-	queue   float64 // modelled occupancy (bytes)
+	capBps      float64 // bytes per picosecond
+	alloc       float64 // sum of active flow rates
+	queue       float64 // modelled occupancy (bytes)
 	pausedUntil float64
 	xoffDelta   float64
-	sw      int32
-	paused  bool
+	sw          int32
+	paused      bool
 	// tripped marks an egress queue whose Xoff crossing already issued a
 	// pause; it re-arms when that pause window expires.
 	tripped bool
@@ -207,27 +207,27 @@ type heapEntry struct {
 
 // engine is the per-Run state.
 type engine struct {
-	cfg    Config
-	specs  []Spec
-	flows  []flowState
-	links  []linkState
-	swSumQ []float64
+	cfg      Config
+	specs    []Spec
+	flows    []flowState
+	links    []linkState
+	swSumQ   []float64
 	swShared []float64
 	swAlpha  []float64
-	heap   []heapEntry
+	heap     []heapEntry
 	// actList holds indices of possibly-active flows; compacted at each
 	// waterfill so per-boundary work scales with live flows, not total.
-	actList []int32
-	active  int
+	actList    []int32
+	active     int
 	events     int64
 	pauses     int
 	pausedTime float64 // Σ over links of time spent paused
 	maxQ       float64
-	hotFrac  float64
-	ccDrain  float64
-	ecnClamp float64
-	conv     float64
-	quantum  float64
+	hotFrac    float64
+	ccDrain    float64
+	ecnClamp   float64
+	conv       float64
+	quantum    float64
 }
 
 const (

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-
-	"dsh/internal/wire"
 )
 
 // Cache tiers for hit accounting.
@@ -33,10 +31,6 @@ type Cache struct {
 type cacheEntry struct {
 	key  string
 	data []byte
-	// wire is the packed .dshz twin of data (wire.EncodeResult), populated
-	// lazily: on Put, on a GetWire disk hit, or by self-healing encode when
-	// only the .json file exists. Decoding it yields data byte for byte.
-	wire []byte
 }
 
 // NewCache opens (creating if needed) the store rooted at dir. maxEntries
@@ -52,11 +46,8 @@ func NewCache(dir string, maxEntries int) (*Cache, error) {
 }
 
 // path maps a content key to its on-disk file. Keys are hex SHA-256
-// strings (validated by keyOK), so they are safe file names. wirePath is
-// the packed sibling; the key — and thus the address clients hold — is
-// identical for both representations.
-func (c *Cache) path(key string) string     { return filepath.Join(c.dir, key+".json") }
-func (c *Cache) wirePath(key string) string { return filepath.Join(c.dir, key+".dshz") }
+// strings (validated by keyOK), so they are safe file names.
+func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".json") }
 
 // keyOK rejects anything that is not a lower-case hex digest — defense in
 // depth against path traversal through the /results/{key} URL.
@@ -111,14 +102,10 @@ func (c *Cache) Has(key string) bool {
 	return err == nil
 }
 
-// Put stores a computed result under key in both tiers, plus the packed
-// .dshz sibling for format=wire streaming. The disk writes are atomic
-// (temp file + rename), so a crash mid-write never leaves a half-result
-// addressable; re-putting an existing key is a no-op rewrite of identical
-// bytes (results are deterministic by construction). The JSON file is the
-// durable source of truth — a missing .dshz sibling is self-healed on the
-// next GetWire, so a wire-write failure only costs a warning-free
-// re-encode, never a lost result.
+// Put stores a computed result under key in both tiers. The disk write is
+// atomic (temp file + rename), so a crash mid-write never leaves a
+// half-result addressable; re-putting an existing key is a no-op rewrite
+// of identical bytes (results are deterministic by construction).
 func (c *Cache) Put(key string, data []byte) error {
 	if !keyOK(key) {
 		return fmt.Errorf("serve: invalid cache key %q", key)
@@ -126,13 +113,8 @@ func (c *Cache) Put(key string, data []byte) error {
 	if err := c.writeAtomic(c.path(key), data); err != nil {
 		return err
 	}
-	packed := wire.EncodeResult(data)
-	if err := c.writeAtomic(c.wirePath(key), packed); err != nil {
-		return err
-	}
 	c.mu.Lock()
 	c.install(key, data)
-	c.idx[key].Value.(*cacheEntry).wire = packed
 	c.mu.Unlock()
 	return nil
 }
@@ -155,50 +137,6 @@ func (c *Cache) writeAtomic(path string, data []byte) error {
 		return fmt.Errorf("serve: cache put: %w", werr)
 	}
 	return nil
-}
-
-// GetWire returns the packed .dshz bytes for key and the tier that served
-// them. Lookup order: memory twin, disk sibling, then self-healing encode
-// from the canonical JSON (covers caches written before the wire format
-// existed). Callers must not mutate the returned slice.
-func (c *Cache) GetWire(key string) ([]byte, string, bool) {
-	if !keyOK(key) {
-		return nil, "", false
-	}
-	c.mu.Lock()
-	if el, ok := c.idx[key]; ok {
-		if ent := el.Value.(*cacheEntry); ent.wire != nil {
-			c.ll.MoveToFront(el)
-			packed := ent.wire
-			c.mu.Unlock()
-			return packed, TierMemory, true
-		}
-	}
-	c.mu.Unlock()
-
-	if packed, err := os.ReadFile(c.wirePath(key)); err == nil {
-		c.attachWire(key, packed)
-		return packed, TierDisk, true
-	}
-	// Self-heal: a .json written by an older server has no sibling yet.
-	data, tier, ok := c.Get(key)
-	if !ok {
-		return nil, "", false
-	}
-	packed := wire.EncodeResult(data)
-	if err := c.writeAtomic(c.wirePath(key), packed); err == nil {
-		c.attachWire(key, packed)
-	}
-	return packed, tier, true
-}
-
-// attachWire stores the packed twin on the key's memory entry if resident.
-func (c *Cache) attachWire(key string, packed []byte) {
-	c.mu.Lock()
-	if el, ok := c.idx[key]; ok {
-		el.Value.(*cacheEntry).wire = packed
-	}
-	c.mu.Unlock()
 }
 
 // install inserts (or refreshes) a memory-front entry and evicts from the

@@ -8,57 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dsh/internal/wire"
 )
-
-// TestCacheGetWire walks the packed twin through all three lookup paths:
-// memory (fresh Put), disk (fresh Cache over the same dir), and self-heal
-// (a .json written before the wire format existed grows its sibling on the
-// first wire read).
-func TestCacheGetWire(t *testing.T) {
-	dir := t.TempDir()
-	c1, _ := NewCache(dir, 4)
-	key, data := tkey(7), []byte(`{"rows": [1, 2]}`+"\n")
-	if err := c1.Put(key, data); err != nil {
-		t.Fatal(err)
-	}
-	packed, tier, ok := c1.GetWire(key)
-	if !ok || tier != TierMemory {
-		t.Fatalf("GetWire after Put: tier %s ok %v, want memory hit", tier, ok)
-	}
-	if doc, err := wire.DecodeResult(packed); err != nil || !bytes.Equal(doc, data) {
-		t.Fatalf("packed twin decodes to (%q, %v), want the stored bytes", doc, err)
-	}
-
-	c2, _ := NewCache(dir, 4)
-	if _, tier, ok := c2.GetWire(key); !ok || tier != TierDisk {
-		t.Fatalf("restart GetWire: tier %s ok %v, want disk hit", tier, ok)
-	}
-
-	// Pre-wire cache: only the .json exists. GetWire must synthesize and
-	// persist the sibling.
-	if err := os.Remove(filepath.Join(dir, key+".dshz")); err != nil {
-		t.Fatal(err)
-	}
-	c3, _ := NewCache(dir, 4)
-	healed, _, ok := c3.GetWire(key)
-	if !ok {
-		t.Fatal("GetWire could not self-heal from the .json")
-	}
-	if doc, err := wire.DecodeResult(healed); err != nil || !bytes.Equal(doc, data) {
-		t.Fatalf("healed twin decodes to (%q, %v), want the stored bytes", doc, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, key+".dshz")); err != nil {
-		t.Fatalf("self-heal did not persist the sibling: %v", err)
-	}
-	if _, _, ok := c3.GetWire(tkey(8)); ok {
-		t.Fatal("GetWire hit on a never-stored key")
-	}
-	if _, _, ok := c3.GetWire("not-a-key"); ok {
-		t.Fatal("GetWire hit on an invalid key")
-	}
-}
 
 func tkey(i int) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("key-%d", i)))
@@ -156,15 +106,11 @@ func TestCachePutAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 || entries[0].Name() != key+".dshz" || entries[1].Name() != key+".json" {
-		t.Fatalf("cache dir holds %v, want exactly %s.{dshz,json} (no temp files)", entries, key)
+	if len(entries) != 1 || entries[0].Name() != key+".json" {
+		t.Fatalf("cache dir holds %v, want exactly %s.json (no temp files)", entries, key)
 	}
 	data, _ := os.ReadFile(filepath.Join(dir, key+".json"))
 	if string(data) != "final" {
 		t.Fatalf("on-disk bytes %q", data)
-	}
-	packed, _ := os.ReadFile(filepath.Join(dir, key+".dshz"))
-	if doc, err := wire.DecodeResult(packed); err != nil || string(doc) != "final" {
-		t.Fatalf("on-disk wire sibling decodes to (%q, %v), want the stored bytes", doc, err)
 	}
 }

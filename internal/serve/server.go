@@ -451,27 +451,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResult is GET /results/{key}: the canonical result bytes.
-// ?format=wire streams the packed .dshz twin straight from the store —
-// no JSON round-trip on the serving path; wire.DecodeResult of the body
-// yields the canonical JSON byte for byte. The cache key is the same for
-// both formats.
+// ?format=json is accepted as an explicit spelling of the default; any
+// other format is a 400.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-	case "wire":
-		packed, tier, ok := s.cache.GetWire(key)
-		if !ok {
-			writeError(w, http.StatusNotFound, "no result for key %q", key)
-			return
-		}
-		s.metrics.CacheHit(tier)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-DSH-Cache", tier)
-		w.Write(packed)
-		return
-	default:
-		writeError(w, http.StatusBadRequest, "unknown format %q (want json or wire)", format)
+	if format := r.URL.Query().Get("format"); format != "" && format != "json" {
+		writeError(w, http.StatusBadRequest, "unknown format %q (want json)", format)
 		return
 	}
 	data, tier, ok := s.cache.Get(key)

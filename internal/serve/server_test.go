@@ -112,6 +112,54 @@ func waitClosed(t *testing.T, ch <-chan struct{}) {
 	t.Fatal("channel never closed")
 }
 
+// TestResultWireFormat pins the format query at the HTTP surface now that
+// JSON is the only result representation: format=json is the default
+// spelled out and serves the same bytes, the retired format=wire and any
+// other format are a 400 rather than a silent JSON fallback, and an
+// unknown key is still a 404.
+func TestResultWireFormat(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		RunFunc: func(sp Spec, _ string, _ func(dshsim.SweepProgress)) ([]byte, error) {
+			return stubResult(sp), nil
+		},
+	})
+	_, st := postJob(t, ts, `{"family":"fig11","seed":9}`)
+	waitStatus(t, ts, st.Key, string(jobDone))
+
+	get := func(suffix string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/results/" + st.Key + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+
+	jresp, jbody := get("")
+	if jresp.StatusCode != http.StatusOK {
+		t.Fatalf("json GET: %d", jresp.StatusCode)
+	}
+	if ct := jresp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("json Content-Type %q", ct)
+	}
+	if eresp, ebody := get("?format=json"); eresp.StatusCode != http.StatusOK || !bytes.Equal(ebody, jbody) {
+		t.Fatalf("explicit format=json: %d %q, default served %q", eresp.StatusCode, ebody, jbody)
+	}
+	for _, format := range []string{"wire", "msgpack"} {
+		if eresp, _ := get("?format=" + format); eresp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("format=%s: %d, want 400", format, eresp.StatusCode)
+		}
+	}
+	if eresp, _ := get("x"); eresp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of unknown key: %d, want 404", eresp.StatusCode)
+	}
+}
+
 // TestSubmitComputeCacheHit walks the happy path end to end: submit →
 // queued → running (progress surfaced through the ExpOptions.Progress
 // seam) → done → result bytes served, then the identical spec under a

@@ -23,7 +23,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"runtime/debug"
 	"strings"
 
@@ -72,13 +74,17 @@ type Spec struct {
 
 // ParseSpec decodes a spec from client JSON, rejecting unknown fields so a
 // typo ("sheme") fails loudly instead of silently running — and caching —
-// a different experiment than the client meant.
+// a different experiment than the client meant. Anything but whitespace
+// after the spec object (a second spec, garbage) is rejected too.
 func ParseSpec(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var sp Spec
 	if err := dec.Decode(&sp); err != nil {
 		return Spec{}, fmt.Errorf("serve: parse spec: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return Spec{}, errors.New("serve: parse spec: trailing data after the spec object")
 	}
 	return sp, nil
 }

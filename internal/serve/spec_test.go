@@ -196,9 +196,23 @@ func oldSchemaKey(t *testing.T, sp Spec) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// TestParseSpecRejectsUnknownFields also pins that a valid spec followed
+// by more input is rejected, never silently truncated to its first value.
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"family":"fig11","sheme":"DSH"}`)); err == nil {
 		t.Fatal("ParseSpec accepted a misspelled field")
+	}
+	for _, body := range []string{
+		`{"family":"fig11"} {"family":"fig12"}`,
+		`{"family":"fig11"} garbage`,
+		`{"family":"fig11"}]`,
+	} {
+		if sp, err := ParseSpec([]byte(body)); err == nil {
+			t.Errorf("ParseSpec(%q) = %+v, want a trailing-data error", body, sp)
+		}
+	}
+	if _, err := ParseSpec([]byte("{\"family\":\"fig11\"}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }
 

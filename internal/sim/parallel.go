@@ -71,10 +71,6 @@ import (
 // run's event count; 2^15 LPs is two above the largest topology.
 const lpSeqShift = 48
 
-// hugeLookahead stands in for "no cross-LP links": Lookahead reports it
-// when no remotes are registered.
-const hugeLookahead = units.Time(math.MaxInt64 >> 2)
-
 // noMsg is the per-edge pending-minimum sentinel for an empty mailbox.
 const noMsg = units.Time(math.MaxInt64)
 
@@ -152,7 +148,6 @@ type joinFlag struct {
 type Parallel struct {
 	coord   *Simulator
 	lps     []*Simulator
-	look    units.Time
 	workers int
 
 	// Double-buffered per-edge mailboxes, indexed by edge id (one edge per
@@ -222,7 +217,7 @@ func NewParallel(coord *Simulator, workers int) *Parallel {
 	if coord.seqBase != 0 {
 		panic("sim: coordinator must be an untagged Simulator")
 	}
-	return &Parallel{coord: coord, look: hugeLookahead, workers: workers}
+	return &Parallel{coord: coord, workers: workers}
 }
 
 // NewLP creates and registers the next logical process, returning its
@@ -261,9 +256,6 @@ func (p *Parallel) NewRemote(src *Simulator, dst int, latency units.Time) *Remot
 	if dst < 0 || dst >= len(p.lps) {
 		panic("sim: remote destination LP out of range")
 	}
-	if latency < p.look {
-		p.look = latency
-	}
 	r := &Remote{par: p, src: srcIdx, dst: int32(dst), srcSim: src, minDelay: latency}
 	p.remotes = append(p.remotes, r)
 	return r
@@ -295,14 +287,6 @@ func (p *Parallel) LPCount() int { return len(p.lps) }
 
 // LP returns the i-th LP's simulator.
 func (p *Parallel) LP(i int) *Simulator { return p.lps[i] }
-
-// Coord returns the coordinator simulator.
-func (p *Parallel) Coord() *Simulator { return p.coord }
-
-// Lookahead returns the minimum cross-LP link latency — the narrowest
-// entry of the pairwise lookahead matrix, and the worst-case epoch width —
-// or hugeLookahead when no remotes are registered.
-func (p *Parallel) Lookahead() units.Time { return p.look }
 
 // Processed returns the total events executed across the coordinator and
 // every LP.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"dsh/units"
@@ -250,13 +251,14 @@ func TestRemoteSendBelowLatencyPanics(t *testing.T) {
 func TestParallelHugeLookaheadNoRemotes(t *testing.T) {
 	coord := New()
 	par := NewParallel(coord, 2)
-	var fired int
+	// The three LPs run on different workers, so the counter is shared.
+	var fired atomic.Int32
 	for i := 0; i < 3; i++ {
 		lp, _ := par.NewLP()
-		lp.At(units.Time(10+i), func() { fired++ })
+		lp.At(units.Time(10+i), func() { fired.Add(1) })
 	}
 	par.RunUntil(1000)
-	if fired != 3 {
-		t.Errorf("fired = %d, want 3", fired)
+	if n := fired.Load(); n != 3 {
+		t.Errorf("fired = %d, want 3", n)
 	}
 }

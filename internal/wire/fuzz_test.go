@@ -91,25 +91,3 @@ func FuzzTraceReader(f *testing.F) {
 		}
 	})
 }
-
-// FuzzResultCodec asserts the unconditional byte-exactness guarantee of
-// the result block codec: EncodeResult of ANY document — canonical JSON or
-// not — must decode back to the identical bytes, and DecodeResult of
-// arbitrary bytes must never panic.
-func FuzzResultCodec(f *testing.F) {
-	f.Add([]byte("{\n  \"family\": \"fig11\",\n  \"rows\": [1, 2.5, -3, 1e21, true, null, \"x\"]\n}\n"))
-	f.Add([]byte("not json"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, doc []byte) {
-		blk := EncodeResult(doc)
-		got, err := DecodeResult(blk)
-		if err != nil {
-			t.Fatalf("decode of fresh encode failed: %v", err)
-		}
-		if !bytes.Equal(got, doc) {
-			t.Fatalf("codec broke byte-exactness:\n got %q\nwant %q", got, doc)
-		}
-		// Arbitrary bytes as a block: error or success, never a panic.
-		DecodeResult(doc)
-	})
-}

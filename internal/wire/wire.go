@@ -1,12 +1,11 @@
-// Package wire is the versioned packed binary layout for packets, traces,
-// and per-run series — the process boundary of the simulator. Everything in
-// memory stays Go structs; everything that leaves the process (trace files,
-// binary result blocks, dshserve streaming bodies) goes through the
-// fixed-offset little-endian encodings defined here, packed and unpacked in
-// place with no reflection, no intermediate structs, and no allocation on
-// the hot path.
+// Package wire is the versioned packed binary layout for packets and
+// traces — the process boundary of the packet simulator. Everything in
+// memory stays Go structs; packet traces that leave the process go through
+// the fixed-offset little-endian encodings defined here, packed and
+// unpacked in place with no reflection, no intermediate structs, and no
+// allocation on the hot path.
 //
-// Three encodings share the package:
+// Two encodings share the package:
 //
 //   - Packet records (packet.go): one packet as a fixed 48-byte base plus
 //     32 bytes per in-band-telemetry hop, written by PackPacket straight
@@ -22,12 +21,6 @@
 //     yields frames with positioned errors (frame index + byte offset) on
 //     truncation or corruption.
 //
-//   - Result blocks (result.go, series.go): ".dshz" — a tagged container
-//     holding either a canonical-JSON document re-encoded as a token
-//     stream (byte-exact round trip, used by dshserve's ?format=wire) or a
-//     typed RunSeries (FCT distributions and pause-duration series) in
-//     packed varint columns.
-//
 // Version negotiation: every artifact leads with a magic string and a
 // little-endian uint16 version. Readers accept exactly the versions they
 // know (currently 1 everywhere) and reject anything else up front, so a
@@ -42,6 +35,4 @@ const (
 	PacketVersion = 1
 	// TraceVersion is the .dshtrace container version (see trace.go).
 	TraceVersion = 1
-	// BlockVersion is the .dshz container version (see result.go).
-	BlockVersion = 1
 )

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -439,158 +438,5 @@ func TestTraceDepartureAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("TraceDeparture allocates %.1f times per batch, want 0", allocs)
-	}
-}
-
-func TestResultCodecByteExact(t *testing.T) {
-	type doc struct {
-		Family string             `json:"family"`
-		Rows   []map[string]any   `json:"rows"`
-		Series map[string][]int64 `json:"series"`
-		Note   string             `json:"note"`
-		Flag   bool               `json:"flag"`
-		Null   *int               `json:"null"`
-	}
-	d := doc{
-		Family: "fig11",
-		Rows: []map[string]any{
-			{"burst_pct": 60, "sih_ps": 123456789012, "dsh_ps": 98765},
-			{"burst_pct": 5, "neg": -42, "frac": 0.125, "exp": 1e21},
-		},
-		Series: map[string][]int64{"paused": {1, 2, 3}, "empty": {}},
-		Note:   "escapes: \" \\ \n \t <html> & ünïcode \u2028 end",
-		Flag:   true,
-	}
-	canonical, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	canonical = append(canonical, '\n')
-	blk := EncodeResult(canonical)
-	got, err := DecodeResult(blk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, canonical) {
-		t.Fatalf("decode is not byte-exact:\n got %q\nwant %q", got, canonical)
-	}
-	if len(blk) >= len(canonical) {
-		t.Fatalf("packed block (%d bytes) not smaller than JSON (%d bytes)", len(blk), len(canonical))
-	}
-	// The fallback guarantee: any input — canonical or not — round-trips.
-	for _, weird := range [][]byte{
-		[]byte("not json at all"),
-		[]byte("{\"compact\":true}"),
-		[]byte("[1,2,3] trailing"),
-		{},
-		[]byte("\xff\xfe invalid utf8"),
-	} {
-		blk := EncodeResult(weird)
-		got, err := DecodeResult(blk)
-		if err != nil {
-			t.Fatalf("decode %q: %v", weird, err)
-		}
-		if !bytes.Equal(got, weird) {
-			t.Fatalf("fallback round trip broke: %q → %q", weird, got)
-		}
-	}
-}
-
-func TestDecodeResultCorrupt(t *testing.T) {
-	if _, err := DecodeResult(nil); err == nil {
-		t.Fatal("nil block decoded")
-	}
-	if _, err := DecodeResult([]byte("DSHZ")); err == nil {
-		t.Fatal("short block decoded")
-	}
-	// A canonical (MarshalIndent + newline) document encodes as the token
-	// kind, whose payload detects every truncation. (A raw-fallback block
-	// stores verbatim bytes and inherently cannot detect payload loss.)
-	doc, err := json.MarshalIndent(map[string]int{"a": 1}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk := EncodeResult(append(doc, '\n'))
-	if blk[6] != BlockJSONTokens {
-		t.Fatalf("canonical doc encoded as kind %d, want token block", blk[6])
-	}
-	c := append([]byte(nil), blk...)
-	c[4] = 99 // version
-	if _, err := DecodeResult(c); !errors.Is(err, ErrBlockVersion) {
-		t.Fatalf("bad version: got %v", err)
-	}
-	c = append([]byte(nil), blk...)
-	c[6] = 200 // kind
-	if _, err := DecodeResult(c); !errors.Is(err, ErrBlockKind) {
-		t.Fatalf("bad kind: got %v", err)
-	}
-	// Truncating the payload must error, not panic.
-	for cut := 0; cut < len(blk); cut++ {
-		if _, err := DecodeResult(blk[:cut]); err == nil {
-			t.Fatalf("truncated block at %d decoded", cut)
-		}
-	}
-}
-
-func TestRunSeriesRoundTrip(t *testing.T) {
-	s := &RunSeries{
-		Label:      "fig11/dsh/60",
-		Tags:       []string{"background", "fanin"},
-		FCTPs:      [][]int64{{1000, 2000, 3000}, {}},
-		SizeB:      [][]int64{{64, 128, 1 << 30}, {}},
-		PauseBinPs: int64(10 * units.Microsecond),
-		PausePs:    []int64{0, 5, 0, 1 << 40},
-	}
-	blk, err := AppendRunSeries(nil, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRunSeries(blk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(s)
-	gotJ, _ := json.Marshal(got)
-	if !bytes.Equal(want, gotJ) {
-		t.Fatalf("round trip:\n got %s\nwant %s", gotJ, want)
-	}
-	// Appending to a pre-sized buffer must not allocate.
-	dst := make([]byte, 0, len(blk))
-	allocs := testing.AllocsPerRun(100, func() {
-		dst, err = AppendRunSeries(dst[:0], s)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Fatalf("AppendRunSeries allocates %.1f per op with a pre-sized buffer", allocs)
-	}
-	// Every truncation errors, never panics.
-	for cut := 0; cut < len(blk); cut++ {
-		if _, err := DecodeRunSeries(blk[:cut]); err == nil {
-			t.Fatalf("truncated series at %d decoded", cut)
-		}
-	}
-	if _, err := DecodeRunSeries(append(append([]byte(nil), blk...), 7)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}
-
-func TestRunSeriesRejects(t *testing.T) {
-	if _, err := AppendRunSeries(nil, &RunSeries{Tags: []string{"a"}}); err == nil {
-		t.Fatal("column count mismatch accepted")
-	}
-	if _, err := AppendRunSeries(nil, &RunSeries{
-		Tags: []string{"a"}, FCTPs: [][]int64{{1, 2}}, SizeB: [][]int64{{1}},
-	}); err == nil {
-		t.Fatal("ragged tag columns accepted")
-	}
-	if _, err := AppendRunSeries(nil, &RunSeries{PausePs: []int64{-1}}); !errors.Is(err, ErrSeriesRange) {
-		t.Fatalf("negative pause: got %v", err)
-	}
-	if _, err := AppendRunSeries(nil, &RunSeries{
-		Tags: []string{"a"}, FCTPs: [][]int64{{-5}}, SizeB: [][]int64{{1}},
-	}); !errors.Is(err, ErrSeriesRange) {
-		t.Fatal("negative FCT accepted")
 	}
 }
