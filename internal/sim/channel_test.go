@@ -288,6 +288,14 @@ func TestResetReleasesCapacity(t *testing.T) {
 	s.RunUntil(n / 2)
 	stale := s.Schedule(10, func() { t.Error("event scheduled before Reset ran") })
 	processed, now := s.Processed(), s.Now()
+	var linked []*Event
+	var gens []uint32
+	for _, ev := range s.buckets {
+		for ; ev != nil; ev = ev.next {
+			linked = append(linked, ev)
+			gens = append(gens, ev.gen)
+		}
+	}
 
 	s.Reset()
 	if s.Pending() != 0 {
@@ -297,8 +305,18 @@ func TestResetReleasesCapacity(t *testing.T) {
 		t.Fatalf("free list %d/%d after Reset, want <= one block (%d)",
 			len(s.free), cap(s.free), eventBlockSize)
 	}
-	if cap(s.heap) > 4096 {
-		t.Fatalf("heap capacity %d after Reset, want clamped", cap(s.heap))
+	if s.levelMask != 0 || s.occ != [levels]uint16{} {
+		t.Fatalf("occupancy bits %#x / %v after Reset, want none", s.levelMask, s.occ)
+	}
+	for b, ev := range s.buckets {
+		if ev != nil {
+			t.Fatalf("bucket %d still linked after Reset", b)
+		}
+	}
+	for i, ev := range linked {
+		if ev.next != nil || ev.gen == gens[i] || ev.fn != nil {
+			t.Fatalf("pending node %d not unlinked and invalidated by Reset", i)
+		}
 	}
 	if s.Now() != now || s.Processed() != processed {
 		t.Fatalf("Reset changed clock/counters: now %v→%v, processed %d→%d",

@@ -714,13 +714,12 @@ func (p *Parallel) runUntilTotalOrder(deadline units.Time) {
 		var bseq uint64
 		coord := false
 		consider := func(s *Simulator, isCoord bool) {
-			t := s.peekTime()
-			if t < 0 {
+			ev, _, _ := s.head()
+			if ev == nil {
 				return
 			}
-			seq := s.heap[0].seq
-			if bt < 0 || t < bt || (t == bt && seq < bseq) {
-				best, bt, bseq, coord = s, t, seq, isCoord
+			if bt < 0 || ev.at < bt || (ev.at == bt && ev.seq < bseq) {
+				best, bt, bseq, coord = s, ev.at, ev.seq, isCoord
 			}
 		}
 		consider(p.coord, true)
@@ -737,7 +736,7 @@ func (p *Parallel) runUntilTotalOrder(deadline units.Time) {
 				s.advanceTo(bt)
 			}
 		}
-		best.runOne()
+		best.step(bt)
 	}
 	for _, s := range p.lps {
 		s.advanceTo(deadline)
@@ -748,15 +747,8 @@ func (p *Parallel) runUntilTotalOrder(deadline units.Time) {
 // peekTime returns the due time of the earliest live event, reaping
 // cancelled heads on the way, or -1 when no live event is pending.
 func (s *Simulator) peekTime() units.Time {
-	for len(s.heap) > 0 {
-		top := s.heap[0]
-		if top.ev.cancelled {
-			s.pop()
-			s.cancelled--
-			s.recycle(top.ev)
-			continue
-		}
-		return top.at
+	if ev, _, _ := s.head(); ev != nil {
+		return ev.at
 	}
 	return -1
 }
@@ -766,44 +758,7 @@ func (s *Simulator) peekTime() units.Time {
 // keep lower-bounding its next event so later, narrower windows and
 // coordinator turns stay valid.
 func (s *Simulator) runWindow(limit units.Time) {
-	for len(s.heap) > 0 {
-		top := s.heap[0]
-		if top.ev.cancelled {
-			s.pop()
-			s.cancelled--
-			s.recycle(top.ev)
-			continue
-		}
-		if top.at >= limit {
-			return
-		}
-		s.pop()
-		ev := top.ev
-		s.now = top.at
-		fn, act, arg, n := ev.fn, ev.act, ev.arg, ev.n
-		s.recycle(ev)
-		s.processed++
-		if fn != nil {
-			fn()
-		} else {
-			act.Run(arg, n)
-		}
-	}
-}
-
-// runOne executes exactly the earliest live event. The caller has already
-// established via peekTime that one exists.
-func (s *Simulator) runOne() {
-	top := s.pop()
-	ev := top.ev
-	s.now = top.at
-	fn, act, arg, n := ev.fn, ev.act, ev.arg, ev.n
-	s.recycle(ev)
-	s.processed++
-	if fn != nil {
-		fn()
-	} else {
-		act.Run(arg, n)
+	for s.step(limit - 1) {
 	}
 }
 

@@ -5,19 +5,23 @@
 // equal timestamps fire in scheduling order (FIFO tie-break), which makes
 // whole-network runs reproducible bit-for-bit for a fixed seed.
 //
-// The engine is allocation-free on the steady-state path: heap nodes are
-// recycled through a free list, the priority queue is a typed 4-ary min-heap
-// (no container/heap `any` boxing) whose entries carry the (at, seq) sort key
-// inline so a sift never dereferences an Event, and the Action form of
-// scheduling lets hot paths pass a pre-bound callback struct instead of a
-// closure. Callers hold generation-checked Timer handles, so a stale handle
-// to a recycled event is inert rather than dangerous. FIFO event streams
-// (link deliveries, per-port PFC processing) should go through a Channel,
-// which keeps one resident heap event per stream instead of one per entry.
+// The engine is allocation-free on the steady-state path: event nodes are
+// recycled through a free list, and the Action form of scheduling lets hot
+// paths pass a pre-bound callback struct instead of a closure. Because
+// simulated time never runs backwards, the pending set is a monotone radix
+// heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990) over intrusive event
+// lists: a push is O(1), a pop touches only the lowest non-empty bucket,
+// and pop order is the (at, seq) total order. Callers hold
+// generation-checked Timer handles, so a stale handle to a recycled event is
+// inert rather than dangerous. FIFO event streams (link deliveries, per-port
+// PFC processing) should go through a Channel, which keeps one resident
+// queue event per stream instead of one per entry.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"dsh/units"
 )
@@ -33,12 +37,13 @@ type Action interface {
 	Run(arg any, n int64)
 }
 
-// Event is one pooled heap node. Events are owned by the simulator and are
+// Event is one pooled queue node. Events are owned by the simulator and are
 // recycled after they fire or their cancellation is reaped, so external
 // code refers to them through Timer handles, never *Event.
 type Event struct {
 	at        units.Time
 	seq       uint64
+	next      *Event // the next event in the same radix bucket
 	gen       uint32
 	cancelled bool
 	sim       *Simulator
@@ -74,7 +79,7 @@ func (t Timer) At() units.Time {
 
 // Cancel prevents the event from firing. Cancelling an inactive handle
 // (zero value, already fired, already cancelled, or recycled) is a no-op.
-// A cancelled entry is dropped lazily when it reaches the top of the heap,
+// A cancelled entry is dropped lazily when it becomes the queue minimum,
 // or eagerly by an in-place compaction once cancelled entries outnumber
 // live ones (see compact).
 func (t Timer) Cancel() {
@@ -91,15 +96,34 @@ func (t Timer) Cancel() {
 // allocation keeps nodes dense in memory and amortizes the cold-start cost.
 const eventBlockSize = 2048
 
-// compactMinCancelled is the floor below which cancellation never triggers a
-// compaction: tiny heaps reap lazily at pop for less work than a heapify.
+// compactMinCancelled is the count below which cancellation never triggers
+// a compaction: tiny queues reap lazily at pop for less work than a filter.
 const compactMinCancelled = 64
 
 // Simulator owns the virtual clock and the pending event set.
 // The zero value is not usable; call New.
 type Simulator struct {
-	now       units.Time
-	heap      []heapEntry
+	now units.Time
+
+	// The pending set is a monotone radix heap over 4-bit digits. Bucket
+	// p*digits+d is an intrusive list of the events whose time first
+	// differs from floor in digit p and has value d there; level 0 holds
+	// the times that differ from floor only in the lowest digit, so each
+	// level-0 bucket holds one timestamp (at == floor falls in level 0
+	// too). Bit d of occ[p] is set iff that bucket is non-empty, and bit p
+	// of levelMask iff occ[p] is non-zero. Three rules keep floor <= every
+	// pending time and floor <= now:
+	//  1. only a dispatched live event moves floor, and the clock moves to
+	//     the same time;
+	//  2. a cancelled minimum is unlinked in place and never moves floor;
+	//  3. a pop that stops at a deadline or window limit leaves floor
+	//     alone, because later pushes may land before the event it saw.
+	buckets   [levels * digits]*Event
+	occ       [levels]uint16
+	levelMask uint16
+	floor     units.Time
+	pending   int
+
 	free      []*Event
 	lastBlock []Event
 	seq       uint64
@@ -111,7 +135,7 @@ type Simulator struct {
 	// seqBase tags every reserved sequence number with the simulator's
 	// logical-process identity (lp << lpSeqShift, see Parallel). Comparing
 	// tagged sequence numbers is exactly the lexicographic (lp, seq) order,
-	// so the (at, seq) heap comparison implements the partitioned engine's
+	// so the (at, seq) queue order implements the partitioned engine's
 	// (at, lp, seq) total order with no extra key material. A standalone
 	// simulator keeps seqBase zero and is bit-identical to the pre-LP
 	// engine.
@@ -120,7 +144,7 @@ type Simulator struct {
 
 // New returns an empty simulator with the clock at zero.
 func New() *Simulator {
-	return &Simulator{heap: make([]heapEntry, 0, 1024)}
+	return &Simulator{}
 }
 
 // Now returns the current simulated time.
@@ -132,11 +156,11 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 // Pending returns the number of events currently scheduled (including
 // cancelled entries not yet reaped, excluding entries buffered inside
 // Channels beyond each channel's resident head event).
-func (s *Simulator) Pending() int { return len(s.heap) }
+func (s *Simulator) Pending() int { return s.pending }
 
-// HeapMax returns the high-water mark of the heap size — the largest pending
+// HeapMax returns the high-water mark of Pending — the largest pending
 // event set the run has held. It is the observable that the Channel
-// conversion shrinks: with per-packet delivery events the heap scales with
+// conversion shrinks: with per-packet delivery events the queue scales with
 // instantaneous load; with channels it scales with topology size.
 func (s *Simulator) HeapMax() int { return s.heapMax }
 
@@ -159,13 +183,19 @@ func (s *Simulator) alloc() *Event {
 	return &block[0]
 }
 
-// recycle invalidates outstanding Timer handles and returns the node to the
-// free list.
-func (s *Simulator) recycle(ev *Event) {
+// invalidate makes outstanding Timer handles to ev inert and drops its
+// payload and list link.
+func invalidate(ev *Event) {
 	ev.gen++
+	ev.next = nil
 	ev.fn = nil
 	ev.act = nil
 	ev.arg = nil
+}
+
+// recycle invalidates ev and returns the node to the free list.
+func (s *Simulator) recycle(ev *Event) {
+	invalidate(ev)
 	s.free = append(s.free, ev)
 }
 
@@ -186,7 +216,7 @@ func (s *Simulator) enqueue(t units.Time) *Event {
 }
 
 // enqueueSeq builds a node for time t under a previously reserved sequence
-// number and pushes it onto the heap.
+// number and pushes it onto the queue.
 func (s *Simulator) enqueueSeq(t units.Time, seq uint64) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at %v, now %v", t, s.now))
@@ -260,32 +290,49 @@ func (s *Simulator) Run() {
 // or Stop is called.
 func (s *Simulator) RunUntil(deadline units.Time) {
 	s.stopped = false
-	for len(s.heap) > 0 && !s.stopped {
-		top := s.heap[0]
-		if top.ev.cancelled {
-			s.pop()
-			s.cancelled--
-			s.recycle(top.ev)
-			continue
-		}
-		if deadline >= 0 && top.at > deadline {
-			break
-		}
-		s.pop()
-		ev := top.ev
-		s.now = top.at
-		fn, act, arg, n := ev.fn, ev.act, ev.arg, ev.n
-		s.recycle(ev)
-		s.processed++
-		if fn != nil {
-			fn()
-		} else {
-			act.Run(arg, n)
-		}
+	last := deadline
+	if deadline < 0 {
+		last = math.MaxInt64
+	}
+	for !s.stopped && s.step(last) {
 	}
 	if deadline >= 0 && s.now < deadline && !s.stopped {
 		s.now = deadline
 	}
+}
+
+// step dispatches the earliest live event if it is due at or before last:
+// it moves floor and the clock to the event's time (rule 1), recycles the
+// node and runs the callback. When nothing live is due by last it reports
+// false and leaves floor and the clock alone (rule 3).
+func (s *Simulator) step(last units.Time) bool {
+	ev, prev, b := s.head()
+	if ev == nil || ev.at > last {
+		return false
+	}
+	s.unlink(ev, prev, b)
+	s.floor = ev.at
+	if l := s.buckets[b]; l != nil && b >= digits {
+		// The rest of the bucket shares ev's digits from its level up, so
+		// against the new floor each of them falls to a lower level. A
+		// level-0 bucket is one timestamp and stays where it is.
+		s.clear(b)
+		for l != nil {
+			e := l
+			l = l.next
+			s.link(e)
+		}
+	}
+	s.now = ev.at
+	fn, act, arg, n := ev.fn, ev.act, ev.arg, ev.n
+	s.recycle(ev)
+	s.processed++
+	if fn != nil {
+		fn()
+	} else {
+		act.Run(arg, n)
+	}
+	return true
 }
 
 // Reset drops every pending event and releases pooled memory beyond roughly
@@ -298,20 +345,18 @@ func (s *Simulator) RunUntil(deadline units.Time) {
 // handles become inert; Channels fed by this simulator must not be pushed to
 // afterwards.
 func (s *Simulator) Reset() {
-	for i := range s.heap {
-		ev := s.heap[i].ev
-		ev.gen++
-		ev.fn = nil
-		ev.act = nil
-		ev.arg = nil
-		s.heap[i] = heapEntry{}
+	for b, ev := range s.buckets {
+		for ev != nil {
+			next := ev.next
+			invalidate(ev)
+			ev = next
+		}
+		s.buckets[b] = nil
 	}
+	s.occ = [levels]uint16{}
+	s.levelMask = 0
+	s.pending = 0
 	s.cancelled = 0
-	if cap(s.heap) > 4096 {
-		s.heap = make([]heapEntry, 0, 1024)
-	} else {
-		s.heap = s.heap[:0]
-	}
 	// Rebuild the free list from the most recently allocated block only:
 	// every retained node pins its whole block, so keeping an arbitrary
 	// subset of a large free list would keep every block alive.
@@ -328,123 +373,119 @@ func (s *Simulator) Reset() {
 	}
 }
 
-// The priority queue is a 4-ary min-heap ordered by (at, seq): shallower
-// than a binary heap (fewer cache-missing levels per sift) and wide enough
-// that four children share cache lines. Entries carry the sort key inline,
-// so a sift compares against dense heap memory and never touches the Event
-// nodes it is moving.
+// 16-way digits move an event through fewer buckets than binary ones do,
+// which matters once the queue outgrows the cache (DESIGN.md §6).
+const (
+	digitBits = 4
+	digits    = 1 << digitBits
+	levels    = 64 / digitBits
+)
 
-// heapEntry is one heap slot: the (at, seq) sort key plus the event it keys.
-type heapEntry struct {
-	at  units.Time
-	seq uint64
-	ev  *Event
+// bucketOf returns the bucket index of time at relative to floor.
+func bucketOf(at, floor units.Time) int {
+	p := (bits.Len64(uint64(at^floor)|1) - 1) / digitBits
+	return p*digits + int(uint64(at)>>(p*digitBits)&(digits-1))
 }
 
-// less orders entries by time, FIFO within a timestamp.
-func less(a, b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// link prepends ev to the bucket its time falls in relative to floor.
+func (s *Simulator) link(ev *Event) {
+	b := bucketOf(ev.at, s.floor)
+	ev.next = s.buckets[b]
+	s.buckets[b] = ev
+	s.occ[b/digits] |= 1 << (b % digits)
+	s.levelMask |= 1 << (b / digits)
+}
+
+// clear empties bucket b and its occupancy bits.
+func (s *Simulator) clear(b int) {
+	s.buckets[b] = nil
+	p := b / digits
+	s.occ[p] &^= 1 << (b % digits)
+	if s.occ[p] == 0 {
+		s.levelMask &^= 1 << p
 	}
-	return a.seq < b.seq
 }
 
-// push appends ev and sifts it up.
+// push adds ev to the pending set. An event below floor would be lost to
+// the bucket order; enqueueSeq's past check makes that an engine bug.
 func (s *Simulator) push(ev *Event) {
-	s.heap = append(s.heap, heapEntry{})
-	n := len(s.heap)
-	if n > s.heapMax {
-		s.heapMax = n
+	if ev.at < s.floor {
+		panic(fmt.Sprintf("sim: event at %v below the queue floor %v", ev.at, s.floor))
 	}
-	s.siftUp(n-1, heapEntry{at: ev.at, seq: ev.seq, ev: ev})
+	s.link(ev)
+	s.pending++
+	if s.pending > s.heapMax {
+		s.heapMax = s.pending
+	}
 }
 
-// pop removes and returns the minimum entry.
-func (s *Simulator) pop() heapEntry {
-	h := s.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = heapEntry{}
-	s.heap = h[:n]
-	if n > 0 {
-		s.siftDown(0, last)
+// unlink removes ev, whose predecessor in bucket b's list is prev (nil at
+// the list head), from the pending set.
+func (s *Simulator) unlink(ev, prev *Event, b int) {
+	switch {
+	case prev != nil:
+		prev.next = ev.next
+	case ev.next != nil:
+		s.buckets[b] = ev.next
+	default:
+		s.clear(b)
 	}
-	return top
+	s.pending--
 }
 
-// noteCancel counts a cancellation and compacts the heap once cancelled
+// head returns the earliest pending live event by (at, seq), with its list
+// predecessor and bucket for unlink, or nil when nothing live is pending.
+// Only the lowest non-empty bucket can hold the minimum. A cancelled
+// minimum is reaped on the way without moving floor (rule 2).
+func (s *Simulator) head() (min, prev *Event, b int) {
+	for s.levelMask != 0 {
+		lv := bits.TrailingZeros16(s.levelMask)
+		b = lv*digits + bits.TrailingZeros16(s.occ[lv])
+		min, prev = s.buckets[b], nil
+		for p, e := min, min.next; e != nil; p, e = e, e.next {
+			if e.at < min.at || (e.at == min.at && e.seq < min.seq) {
+				min, prev = e, p
+			}
+		}
+		if !min.cancelled {
+			return min, prev, b
+		}
+		s.unlink(min, prev, b)
+		s.cancelled--
+		s.recycle(min)
+	}
+	return nil, nil, 0
+}
+
+// noteCancel counts a cancellation and compacts the queue once cancelled
 // entries outnumber live ones, so mass cancellation (a sweep tearing down
-// timers) cannot leave the heap bloated until each entry drifts to the top.
+// timers) cannot leave the queue bloated until each entry becomes the
+// minimum.
 func (s *Simulator) noteCancel() {
 	s.cancelled++
-	if s.cancelled >= compactMinCancelled && s.cancelled*2 > len(s.heap) {
+	if s.cancelled >= compactMinCancelled && s.cancelled*2 > s.pending {
 		s.compact()
 	}
 }
 
-// compact removes every cancelled entry in place and re-heapifies.
+// compact filters every cancelled entry out of the bucket lists.
 func (s *Simulator) compact() {
-	h := s.heap
-	w := 0
-	for _, e := range h {
-		if e.ev.cancelled {
-			s.recycle(e.ev)
+	for b := range s.buckets {
+		if s.buckets[b] == nil {
 			continue
 		}
-		h[w] = e
-		w++
-	}
-	for i := w; i < len(h); i++ {
-		h[i] = heapEntry{}
-	}
-	s.heap = h[:w]
-	for i := (w - 2) >> 2; i >= 0; i-- {
-		s.siftDown(i, s.heap[i])
-	}
-	s.cancelled = 0
-}
-
-// siftUp places entry e at index i, moving it toward the root while it beats
-// its parent.
-func (s *Simulator) siftUp(i int, e heapEntry) {
-	h := s.heap
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !less(e, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-}
-
-// siftDown places entry e at index i, moving it toward the leaves while some
-// child beats it.
-func (s *Simulator) siftDown(i int, e heapEntry) {
-	h := s.heap
-	n := len(h)
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if less(h[j], h[m]) {
-				m = j
+		for p := &s.buckets[b]; *p != nil; {
+			if ev := *p; ev.cancelled {
+				*p = ev.next
+				s.pending--
+				s.recycle(ev)
+			} else {
+				p = &ev.next
 			}
 		}
-		if !less(h[m], e) {
-			break
+		if s.buckets[b] == nil {
+			s.clear(b)
 		}
-		h[i] = h[m]
-		i = m
 	}
-	h[i] = e
+	s.cancelled = 0
 }
